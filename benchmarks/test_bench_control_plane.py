@@ -43,9 +43,9 @@ def test_bench_per_domain_control_cost(benchmark):
         "nfs": adapter_report.nfs_requested,
         "flowrules": adapter_report.flowrules_requested,
     } for adapter_report in report.adapters]
+    assert sum(row["messages"] for row in rows) == report.control_messages
     emit("EXT-2: control-plane cost per domain (one 2-NF deploy)", rows,
          group="control_plane")
-    assert sum(row["messages"] for row in rows) == report.control_messages
     benchmark(lambda: build_reference_multidomain()
               .service_layer.submit(_request("timed")))
 
@@ -91,8 +91,6 @@ def test_bench_full_vs_delta_push(benchmark):
             "delta_bytes": report.bytes,
             "delta": report.delta,
         })
-    emit("EXT-2: full vs delta config push (steady-state deploy)", rows,
-         group="control_plane")
     # hard gate (also in CI smoke): the delta path must never cost more
     # bytes than the full path it replaces — per domain, not just in sum
     for row in rows:
@@ -111,6 +109,8 @@ def test_bench_full_vs_delta_push(benchmark):
         if digest is not None:
             delta_adapter = delta_bed.escape.cal.adapters[name]
             assert delta_adapter._acked_digest == digest, name
+    emit("EXT-2: full vs delta config push (steady-state deploy)", rows,
+         group="control_plane")
     benchmark(lambda: run(force_full=False))
 
 
@@ -161,6 +161,10 @@ def test_bench_parallel_vs_serial_push(benchmark):
 
     serial_ms = timed(serial_cal)
     parallel_ms = timed(parallel_cal)
+    # serial pays the sum: N domains x 5 ms
+    assert serial_ms >= domains * delay_s * 1e3
+    # parallel pays the max, not the sum
+    assert parallel_ms <= 0.5 * serial_ms, (parallel_ms, serial_ms)
     emit("CP-2: parallel vs serial push under 5 ms injected per-domain "
          "delay", [{
              "domains": domains,
@@ -169,10 +173,6 @@ def test_bench_parallel_vs_serial_push(benchmark):
              "parallel_ms": parallel_ms,
              "speedup_x": serial_ms / parallel_ms,
          }], group="control_plane")
-    # serial pays the sum: N domains x 5 ms
-    assert serial_ms >= domains * delay_s * 1e3
-    # parallel pays the max, not the sum
-    assert parallel_ms <= 0.5 * serial_ms, (parallel_ms, serial_ms)
     benchmark(parallel_cal.push_all)
 
 
@@ -212,6 +212,15 @@ def test_bench_repeated_deploys(benchmark):
     snapshot = perf.snapshot()
     latency = perf.metrics.histogram("deploy.latency_s")
 
+    # the latency histogram saw exactly the timed deploys (perf.reset
+    # above cleared the warmup's observation)
+    assert latency.count == deploys
+    # incremental maintenance: every deploy applied in place, no rebuild
+    assert snapshot.get("dov.rebuild", 0) == 0
+    assert snapshot.get("dov.apply_inplace", 0) == deploys
+    # the resilience layer is pay-per-fault: a fault-free run schedules
+    # no retries, trips no breakers, queues nothing for reconciliation
+    assert perf.snapshot("resilience.") == {}
     emit("CP-1: repeated deploys on an unchanged substrate", [{
         "substrate_nodes": size,
         "deploys": deploys,
@@ -224,15 +233,6 @@ def test_bench_repeated_deploys(benchmark):
         "path_hits": snapshot.get("pathcache.hit", 0),
         "path_misses": snapshot.get("pathcache.miss", 0),
     }], group="control_plane")
-    # the latency histogram saw exactly the timed deploys (perf.reset
-    # above cleared the warmup's observation)
-    assert latency.count == deploys
-    # incremental maintenance: every deploy applied in place, no rebuild
-    assert snapshot.get("dov.rebuild", 0) == 0
-    assert snapshot.get("dov.apply_inplace", 0) == deploys
-    # the resilience layer is pay-per-fault: a fault-free run schedules
-    # no retries, trips no breakers, queues nothing for reconciliation
-    assert perf.snapshot("resilience.") == {}
 
     def _deploy_teardown():
         report = escape.deploy(_mesh_chain(999).sg, wait_activation=False)
@@ -294,6 +294,11 @@ def test_bench_recovery_vs_cold_redeploy(benchmark):
             assert report.success, report.error
         redeploy_s = min(redeploy_s, time.perf_counter() - started)
 
+    # hard gate (also in CI): recovery must beat 0.3x the cold path at
+    # the full 50-service scale; the 10-service smoke run gets a looser
+    # 0.5x bound because both sides sit in timer-noise territory there
+    gate = 0.5 if SMOKE else 0.3
+    assert recover_s <= gate * redeploy_s, (recover_s, redeploy_s)
     emit("RC-1: journal recovery vs cold redeploy", [{
         "services": services,
         "substrate_nodes": size,
@@ -303,11 +308,6 @@ def test_bench_recovery_vs_cold_redeploy(benchmark):
         "journal_records": len(journal),
         "checkpoint_used": journal.replay().checkpoint_used,
     }], group="control_plane")
-    # hard gate (also in CI): recovery must beat 0.3x the cold path at
-    # the full 50-service scale; the 10-service smoke run gets a looser
-    # 0.5x bound because both sides sit in timer-noise territory there
-    gate = 0.5 if SMOKE else 0.3
-    assert recover_s <= gate * redeploy_s, (recover_s, redeploy_s)
     benchmark(lambda: recover(journal, adapters, dry_run=True))
 
 

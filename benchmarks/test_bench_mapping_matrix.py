@@ -106,11 +106,6 @@ def test_bench_mapping_matrix(benchmark):
                     "indexed_examined": result.nodes_examined,
                 })
 
-    emit("EXT-3: mapping quality x speed matrix (embedder x substrate)",
-         rows, group="mapping")
-    emit("EXT-3: substrate index speedup (greedy, full-scan vs indexed)",
-         summary, group="mapping")
-
     # quality gate: pruning never trades more than COST_TOLERANCE of cost
     for entry in summary:
         assert entry["indexed_cost"] <= COST_TOLERANCE * entry["full_cost"], (
@@ -130,6 +125,11 @@ def test_bench_mapping_matrix(benchmark):
         top = summary[-1]
         assert top["speedup_x"] >= SPEEDUP_FLOOR, (
             "indexed greedy speedup below floor at largest size", top)
+
+    emit("EXT-3: mapping quality x speed matrix (embedder x substrate)",
+         rows, group="mapping")
+    emit("EXT-3: substrate index speedup (greedy, full-scan vs indexed)",
+         summary, group="mapping")
 
     warm = SubstrateIndex()
     small_substrate = mesh_substrate(SIZES[0], degree=3, seed=7,

@@ -74,6 +74,10 @@ def test_bench_tracing_overhead():
         obs.disable()
         obs.restore(previous)
 
+    assert spans > 0  # the traced run actually traced
+    assert on_ms <= off_ms * OVERHEAD_RATIO + EPSILON_MS, (
+        f"tracing overhead too high: off={off_ms:.3f} ms "
+        f"on={on_ms:.3f} ms")
     emit("OBS-1: tracing overhead on the deploy loop", [{
         "deploys": deploys,
         "off_ms": off_ms,
@@ -81,10 +85,6 @@ def test_bench_tracing_overhead():
         "overhead_pct": (on_ms / off_ms - 1.0) * 100.0,
         "spans": spans,
     }], group="obs")
-    assert spans > 0  # the traced run actually traced
-    assert on_ms <= off_ms * OVERHEAD_RATIO + EPSILON_MS, (
-        f"tracing overhead too high: off={off_ms:.3f} ms "
-        f"on={on_ms:.3f} ms")
 
 
 def test_bench_disabled_instrumentation_records_nothing():

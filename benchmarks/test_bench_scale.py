@@ -106,9 +106,6 @@ def test_bench_deploy_latency_vs_domain_count():
         linear = base["ms_per_deploy"] * row["domains"] / base["domains"]
         row["linear_ms"] = linear
         row["vs_linear"] = row["ms_per_deploy"] / linear
-    emit("CP-3: deploy latency vs managed domain count (single-domain "
-         "service, planned push)", rows, group="control_plane")
-
     # the 0.4x factor is calibrated for the 100-domain point; the
     # reduced smoke sweep tops out at 30 domains, where the fixed
     # per-deploy cost dominates both sides — gate it at sub-linear
@@ -120,3 +117,6 @@ def test_bench_deploy_latency_vs_domain_count():
         f"{gated['ms_per_deploy']:.2f} ms exceeds {factor}x the linear "
         f"extrapolation {gated['linear_ms']:.2f} ms from "
         f"{base['domains']} domains")
+    emit("CP-3: deploy latency vs managed domain count (single-domain "
+         "service, planned push)", rows, group="control_plane")
+

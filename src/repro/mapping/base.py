@@ -84,10 +84,11 @@ class _LazyMappedResult(MappingResult):
     The orchestration hot loop only reads ``touched`` (flow-rule
     validation) and the placement/route tables, so the O(substrate)
     copy behind ``mapped`` is usually never paid — callers that do ask
-    (renderers, virtualizer exports, tests) get the same graph the
-    eager commit used to produce.  Materialize promptly: the factory
-    reads the context's resource view, which the orchestrator mutates
-    between deployments."""
+    (renderers, virtualizer exports, tests) get the same graph an eager
+    commit produces.  The mapping's own hosts and links read as they
+    were when it was made; the rest of the graph is the resource view
+    at materialization time, so materialize before later deployments
+    move it."""
 
     def __init__(self, *args, **kwargs):
         self._mapped_factory = None
@@ -142,36 +143,35 @@ def placement_allowed(ctx: "MappingContext", nf: NodeNF,
 
 
 class _CowMap:
-    """Copy-on-write overlay over a shared base dict.
+    """Copy-on-write overlay over a capacity book.
 
-    A seeded :class:`ResourceLedger` reads through to the substrate
-    index's free maps and keeps its tentative allocations in a small
-    private overlay — O(service) memory, O(1) construction, and the
-    shared base is never written."""
+    A seeded :class:`ResourceLedger` reads through to the book
+    (``read(items[key])``) and keeps its tentative allocations in a
+    small private overlay — O(service) memory, O(1) construction, and
+    the book is never written."""
 
-    __slots__ = ("_base", "_over")
+    __slots__ = ("_items", "_read", "_over")
 
-    def __init__(self, base: dict):
-        self._base = base
+    def __init__(self, items: dict, read):
+        self._items = items
+        self._read = read
         self._over: dict = {}
 
     def __getitem__(self, key):
         over = self._over
         if key in over:
             return over[key]
-        return self._base[key]
+        return self._read(self._items[key])
 
     def get(self, key, default=None):
         over = self._over
         if key in over:
             return over[key]
-        return self._base.get(key, default)
+        item = self._items.get(key)
+        return default if item is None else self._read(item)
 
     def __setitem__(self, key, value) -> None:
         self._over[key] = value
-
-    def __contains__(self, key) -> bool:
-        return key in self._over or key in self._base
 
 
 class ResourceLedger:
@@ -192,11 +192,11 @@ class ResourceLedger:
         self._instance = next(ResourceLedger._seq)
         self.generation = 0
         if seed is not None:
-            # free maps provided by the substrate index: overlay them
-            # copy-on-write instead of rescanning the whole view
-            free_base, link_base = seed
-            self._free = _CowMap(free_base)
-            self._link_free = _CowMap(link_base)
+            # the substrate index's read-through book columns: overlay
+            # them copy-on-write instead of rescanning the whole view
+            infras, links = seed
+            self._free = _CowMap(*infras)
+            self._link_free = _CowMap(*links)
             return
         self._free: dict[str, ResourceVector] = {}
         self._link_free: dict[str, float] = {}
@@ -378,7 +378,7 @@ class MappingContext:
             self._delay_from = index.delay_memo
         else:
             self.ledger = ResourceLedger(resource)
-            self._sap_attach = self._build_sap_attachments()
+            self._sap_attach = build_sap_attachments(resource)
             self._adjacency: Optional[dict[str, list[EdgeLink]]] = None
             self._node_delays: Optional[dict[str, float]] = None
             self._delay_from: dict[str, dict[str, float]] = {}
@@ -513,10 +513,6 @@ class MappingContext:
 
     # -- sap handling -----------------------------------------------------
 
-    def _build_sap_attachments(self) -> dict[str, tuple[str, str]]:
-        """SAP id -> (infra_id, infra_port_id) in the resource view."""
-        return build_sap_attachments(self.resource)
-
     def sap_attachment(self, sap_id: str) -> tuple[str, str]:
         try:
             return self._sap_attach[sap_id]
@@ -621,13 +617,10 @@ class MappingContext:
                 mapped.add_node_copy(nf)
             mapped.place_nf(nf_id, infra_id)
             mapped.nf(nf_id).status = "deployed"
-        for link in mapped.links:
-            free_now = self.ledger.link_free(link.id)
-            original = self.resource.edge(link.id)
-            assert isinstance(original, EdgeLink)
-            newly_reserved = original.available_bandwidth - free_now
-            if newly_reserved > 1e-9:
-                link.reserved += newly_reserved
+        for route in self.routes.values():
+            if route.bandwidth > 1e-9:
+                for link_id in route.link_ids:
+                    mapped.edge(link_id).reserved += route.bandwidth
         for hop in self.service.sg_hops:
             route = self.routes.get(hop.id)
             if route is not None:
@@ -679,8 +672,28 @@ class MappingContext:
             hop_routes=dict(self.routes), decompositions=dict(self.decompositions),
             cost=self.total_cost(), runtime_s=runtime_s,
             nodes_examined=self.nodes_examined, backtracks=self.backtracks)
-        result._mapped_factory = lambda: self.commit(mapped_id)
+        result._mapped_factory = self._deferred_commit(mapped_id)
         return result
+
+    def _deferred_commit(self, mapped_id: Optional[str]):
+        """The full :meth:`commit`, deferred.  The CAL charges a mapping
+        to the very book it was mapped against, so the balances of its
+        hosts and links are captured now, before that charge."""
+        hosts = {infra_id: self.resource.infra(infra_id).resources
+                 for infra_id in self.placement.values()}
+        links = {link_id: self.resource.edge(link_id).bandwidth
+                 for route in self.routes.values()
+                 for link_id in route.link_ids}
+
+        def materialize() -> NFFG:
+            mapped = self.commit(mapped_id)
+            for infra_id, free in hosts.items():
+                mapped.infra(infra_id).resources = free
+            for link_id, bandwidth in links.items():
+                mapped.edge(link_id).bandwidth = bandwidth
+            return mapped
+
+        return materialize
 
 
 class Embedder(abc.ABC):

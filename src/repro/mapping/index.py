@@ -1,4 +1,4 @@
-"""Persistent substrate index over a resource view.
+"""Persistent substrate index over a capacity book.
 
 Every mapping run used to redo O(substrate) work from scratch: a fresh
 :class:`~repro.mapping.base.ResourceLedger` scan, a fresh SAP-attachment
@@ -13,27 +13,27 @@ of that out of the run and keeps it alive across requests:
   :func:`repro.mapping.pathcache.bandwidth_class`) ordered
   cheapest-first within a class, walked largest-class-first for top-K
   host selection;
-- **ledger seed maps** (free compute per infra, free bandwidth per
-  link) handed to :class:`ResourceLedger` as copy-on-write bases — a
-  ledger becomes O(1) to build instead of O(substrate);
+- **ledger seeds**: read-through views of the book's free compute and
+  link bandwidth, which a :class:`ResourceLedger` overlays
+  copy-on-write — O(1) to build instead of O(substrate);
 - **cached topology tables**: infra adjacency, node delays, SAP
   attachments, and a shared single-source delay memo that persists
   across mapping runs (it depends on topology only, never on the
   ledger).
 
-The index is owned by the CAL next to its incremental remaining-capacity
-view and follows the same lifecycle: :meth:`sync` is called with the
-current view and ``topology_generation`` exactly like
-``PathCache.sync()`` (any epoch or identity change triggers a full
-:meth:`rebuild`), and :meth:`apply_mapping` folds deploy/teardown/heal
-deltas in place using the *same clamped arithmetic* as the CAL's
-``_update_remaining`` so the two never drift.  :meth:`verify` is the
-rebuild-and-compare escape hatch; any detected inconsistency marks the
+The index holds no capacity of its own: it is bound to a *capacity
+book* (the CAL's remaining view, see
+:func:`repro.nffg.ops.capacity_book`, or a bare substrate) and reads
+every balance from it.  :func:`charge` is the one writer of a book;
+the index re-buckets the hosts a charge moved (:meth:`rebucket`).
+:meth:`sync` follows ``PathCache.sync()``: a new book object or
+topology epoch triggers a full :meth:`rebuild`.  :meth:`verify` is the
+rebuild-and-compare test oracle; any detected inconsistency marks the
 index stale and the next sync rebuilds it.
 
-Thread-safety: like the CAL's cached remaining view, the index is only
-mutated on the orchestrator thread (commits/removals/rebuilds happen
-before any push fan-out starts), so it takes no locks.
+Thread-safety: like the CAL's book, the index is only mutated on the
+orchestrator thread (commits/removals/rebuilds happen before any push
+fan-out starts), so it takes no locks.
 """
 
 from __future__ import annotations
@@ -41,18 +41,56 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
+from operator import attrgetter
 from typing import Optional
 
 from repro.mapping.base import build_sap_attachments
 from repro.nffg.graph import NFFG, NFFGError
-from repro.nffg.model import EdgeLink, InfraType, ResourceVector
+from repro.nffg.model import EdgeLink, InfraType, NodeInfra, ResourceVector
 from repro.perf import counters
 
 _EMPTY_SET: frozenset[str] = frozenset()
 
+_FREE_COMPUTE = attrgetter("resources")
+_FREE_BANDWIDTH = attrgetter("available_bandwidth")
+
 #: consumable ResourceVector dimensions tracked in the totals (node
 #: bandwidth and delay are capabilities, not allocations)
 _DIMS = ("cpu", "mem", "storage")
+
+
+def charge(book: NFFG, service: NFFG, result, sign: float) -> None:
+    """Charge (``sign=1``: deploy) or credit (``sign=-1``: teardown) a
+    mapping's demand to a capacity book — the one function that moves
+    free capacity.
+
+    Exact and never clamped, so a credit always undoes its charge.  A
+    charge may overdraw a host or link (adopting live state onto a
+    smaller substrate must not fail): the balance stays negative, the
+    host fits nothing, and ``cal.capacity.overdrawn`` counts it.
+    Raises :class:`KeyError`/:class:`NFFGError` when a placement or
+    route no longer resolves; the book is then partly charged.
+    """
+    overdrawn = 0
+    for nf_id, infra_id in result.nf_placement.items():
+        infra = book.infra(infra_id)
+        demand = service.nf(nf_id).resources
+        before = infra.resources
+        free = infra.resources = ResourceVector(
+            cpu=before.cpu - sign * demand.cpu,
+            mem=before.mem - sign * demand.mem,
+            storage=before.storage - sign * demand.storage,
+            bandwidth=before.bandwidth, delay=before.delay)
+        if sign > 0 and min(free.cpu, free.mem, free.storage) < -1e-9:
+            overdrawn += 1
+    for route in result.hop_routes.values():
+        for link_id in route.link_ids:
+            link = book.edge(link_id)
+            link.bandwidth -= sign * route.bandwidth
+            if sign > 0 and link.available_bandwidth < -1e-9:
+                overdrawn += 1
+    if overdrawn:
+        counters.incr("cal.capacity.overdrawn", overdrawn)
 
 
 def cpu_class(cpu: float) -> int:
@@ -63,17 +101,17 @@ def cpu_class(cpu: float) -> int:
 
 
 class SubstrateIndex:
-    """Incrementally-maintained candidate/capacity index over one view."""
+    """Incrementally-maintained candidate/capacity index over one book."""
 
     def __init__(self) -> None:
-        #: the exact view object this index describes (identity-checked)
+        #: the exact book this index describes (identity-checked)
         self.resource: Optional[NFFG] = None
         self._epoch: Optional[int] = None
         self._stale = False
-        #: ledger seed: infra id -> free compute (every infra, switches too)
-        self.free: dict[str, ResourceVector] = {}
-        #: ledger seed: link id -> free bandwidth
-        self.link_free: dict[str, float] = {}
+        #: the book's infras and static links by id: every capacity
+        #: read goes through these to the live objects
+        self._infras: dict[str, NodeInfra] = {}
+        self._links: dict[str, EdgeLink] = {}
         #: functional type -> infras listing it in ``supported_types``
         self._by_type: dict[str, set[str]] = {}
         #: NF-capable infras with an empty (wildcard) supported set
@@ -85,10 +123,9 @@ class SubstrateIndex:
         #: [(cost_per_cpu, infra_id)]; walked high class -> low for top-K
         self._buckets: dict[int, list[tuple[float, str]]] = {}
         self._bucket_of: dict[str, int] = {}
-        #: per-dimension totals over NF-capable infras: snapshot at
-        #: rebuild time (``capacity_totals``) vs live (``free_totals``)
+        #: per-dimension free totals over NF-capable infras when the
+        #: index was built (the live totals are :attr:`free_totals`)
         self.capacity_totals: dict[str, float] = {}
-        self.free_totals: dict[str, float] = {}
         #: lazily built topology tables, dropped on rebuild
         self._adjacency: Optional[dict[str, list[EdgeLink]]] = None
         self._node_delays: Optional[dict[str, float]] = None
@@ -103,7 +140,7 @@ class SubstrateIndex:
 
     def sync(self, resource: NFFG, epoch: Optional[int] = None
              ) -> "SubstrateIndex":
-        """Bind the index to the current view, rebuilding when the view
+        """Bind the index to the current book, rebuilding when the book
         object, the topology epoch, or a detected inconsistency moved —
         the :meth:`PathCache.sync` idiom."""
         if (self.resource is resource and not self._stale
@@ -120,36 +157,24 @@ class SubstrateIndex:
         self._stale = True
 
     def rebuild(self, resource: NFFG, epoch: Optional[int] = None) -> None:
-        """Full re-derivation from a view (the escape hatch everything
+        """Full re-derivation from a book (the escape hatch everything
         falls back to)."""
         self.resource = resource
         self._epoch = epoch
         self._stale = False
-        self.free = {}
-        self.link_free = {}
+        self._infras = {}
         self._by_type = {}
         self._wildcard = set()
         self._domain_of = {}
         self._cost_of = {}
         self._buckets = {}
         self._bucket_of = {}
-        self.capacity_totals = {dim: 0.0 for dim in _DIMS}
         self._adjacency = None
         self._node_delays = None
         self._sap_attach = None
         self.delay_memo = {}
-        # net out placed NFs in one edge-table pass (ledger idiom);
-        # remaining-capacity views carry none, raw DoVs may
-        consumed: dict[str, ResourceVector] = {}
-        for infra_id, nf in resource.placed_nfs():
-            total = consumed.get(infra_id)
-            consumed[infra_id] = (nf.resources if total is None
-                                  else total + nf.resources)
         for infra in resource.infras:
-            used = consumed.get(infra.id)
-            free = (infra.resources if used is None
-                    else infra.resources - used)
-            self.free[infra.id] = free
+            self._infras[infra.id] = infra
             self._domain_of[infra.id] = infra.domain.value
             self._cost_of[infra.id] = infra.cost_per_cpu
             if infra.infra_type == InfraType.SDN_SWITCH:
@@ -161,18 +186,26 @@ class SubstrateIndex:
             else:
                 self._wildcard.add(infra.id)
             self._bucket_add(infra.id)
-            for dim in _DIMS:
-                self.capacity_totals[dim] += getattr(free, dim)
-        for link in resource.links:
-            self.link_free[link.id] = link.available_bandwidth
-        self.free_totals = dict(self.capacity_totals)
+        self._links = {link.id: link for link in resource.links}
+        self.capacity_totals = self.free_totals
         self.rebuilds += 1
         counters.incr("mapping.index.rebuild")
+
+    @property
+    def free_totals(self) -> dict[str, float]:
+        """Per-dimension free totals over NF-capable infras, summed from
+        the book."""
+        totals = dict.fromkeys(_DIMS, 0.0)
+        for infra_id in self._bucket_of:
+            free = self._infras[infra_id].resources
+            for dim in _DIMS:
+                totals[dim] += getattr(free, dim)
+        return totals
 
     # -- capacity buckets --------------------------------------------------
 
     def _bucket_add(self, infra_id: str) -> None:
-        cls = cpu_class(self.free[infra_id].cpu)
+        cls = cpu_class(self._infras[infra_id].resources.cpu)
         self._bucket_of[infra_id] = cls
         insort(self._buckets.setdefault(cls, []),
                (self._cost_of[infra_id], infra_id))
@@ -190,49 +223,42 @@ class SubstrateIndex:
 
     # -- incremental maintenance -------------------------------------------
 
+    def rebucket(self, infra_ids) -> None:
+        """Move the hosts a :func:`charge` just moved to the bucket their
+        balance now falls in."""
+        for infra_id in infra_ids:
+            cls = self._bucket_of.get(infra_id)
+            if cls is not None and \
+                    cpu_class(self._infras[infra_id].resources.cpu) != cls:
+                self._bucket_remove(infra_id)
+                self._bucket_add(infra_id)
+        self.applies += 1
+        counters.incr("mapping.index.apply")
+
     def apply_mapping(self, service: NFFG, result, sign: float) -> None:
-        """Fold a mapping deployed to (``sign=1``) or removed from
-        (``sign=-1``) the view into the index, mirroring the CAL's
-        ``_update_remaining`` clamped arithmetic exactly.  Any id that
-        no longer resolves marks the index stale (next sync rebuilds)."""
+        """Book a mapping deployed to (``sign=1``) or removed from
+        (``sign=-1``) the bound book and re-bucket its hosts — the
+        CAL's bind/unbind in miniature.  Any id that no longer resolves
+        marks the index stale (next sync rebuilds)."""
         if self.resource is None or self._stale:
             return
         try:
-            for nf_id, infra_id in result.nf_placement.items():
-                demand = service.nf(nf_id).resources
-                free = self.free[infra_id]
-                updated = ResourceVector(
-                    cpu=max(free.cpu - sign * demand.cpu, 0.0),
-                    mem=max(free.mem - sign * demand.mem, 0.0),
-                    storage=max(free.storage - sign * demand.storage, 0.0),
-                    bandwidth=free.bandwidth, delay=free.delay)
-                self.free[infra_id] = updated
-                if infra_id in self._bucket_of:
-                    for dim in _DIMS:
-                        self.free_totals[dim] += (getattr(updated, dim)
-                                                  - getattr(free, dim))
-                    if cpu_class(updated.cpu) != self._bucket_of[infra_id]:
-                        self._bucket_remove(infra_id)
-                        self._bucket_add(infra_id)
-            for route in result.hop_routes.values():
-                for link_id in route.link_ids:
-                    self.link_free[link_id] = max(
-                        self.link_free[link_id] - sign * route.bandwidth, 0.0)
+            charge(self.resource, service, result, sign)
         except (KeyError, NFFGError):
             self.mark_stale()
             counters.incr("mapping.index.stale")
             return
-        self.applies += 1
-        counters.incr("mapping.index.apply")
+        self.rebucket(result.nf_placement.values())
 
     # -- ledger seeding ----------------------------------------------------
 
-    def ledger_seed(self) -> tuple[dict[str, ResourceVector],
-                                   dict[str, float]]:
-        """Base maps for a copy-on-write :class:`ResourceLedger` — the
-        ledger overlays its tentative allocations without mutating
-        these."""
-        return self.free, self.link_free
+    def ledger_seed(self) -> tuple[tuple, tuple]:
+        """Read-through bases for a copy-on-write :class:`ResourceLedger`
+        — ``(objects by id, free-amount getter)`` for infras and links;
+        the ledger overlays its tentative allocations without writing
+        the book."""
+        return ((self._infras, _FREE_COMPUTE),
+                (self._links, _FREE_BANDWIDTH))
 
     # -- topology tables ---------------------------------------------------
 
@@ -331,8 +357,8 @@ class SubstrateIndex:
         while frontier and budget > 0 and len(out) < quota:
             current = frontier.popleft()
             budget -= 1
-            free = self.free.get(current)
-            if free is not None and free.cpu >= min_cpu:
+            infra = self._infras.get(current)
+            if infra is not None and infra.resources.cpu >= min_cpu:
                 admit(current)
             for link in adjacency.get(current, ()):
                 neighbour = link.dst_node
@@ -340,10 +366,10 @@ class SubstrateIndex:
                     visited.add(neighbour)
                     frontier.append(neighbour)
 
-    # -- escape hatch ------------------------------------------------------
+    # -- test oracle -------------------------------------------------------
 
     def verify(self, resource: NFFG) -> list[str]:
-        """Rebuild-and-compare: derive a fresh index from the view and
+        """Rebuild-and-compare: derive a fresh index from the book and
         diff it against the live one.  Any mismatch marks this index
         stale (forcing a rebuild on the next sync) and is returned for
         the caller to log/assert on."""
@@ -351,39 +377,27 @@ class SubstrateIndex:
         fresh = SubstrateIndex()
         fresh.rebuild(resource)
         problems: list[str] = []
-        for infra_id, expected in fresh.free.items():
-            got = self.free.get(infra_id)
-            if got is None:
-                problems.append(f"missing infra {infra_id!r}")
-            elif any(abs(getattr(got, dim) - getattr(expected, dim)) > 1e-6
-                     for dim in ("cpu", "mem", "storage")):
-                problems.append(
-                    f"free drift on {infra_id!r}: {got} != {expected}")
-        for infra_id in self.free:
-            if infra_id not in fresh.free:
-                problems.append(f"ghost infra {infra_id!r}")
-        for link_id, expected_bw in fresh.link_free.items():
-            got_bw = self.link_free.get(link_id)
-            if got_bw is None or abs(got_bw - expected_bw) > 1e-6:
-                problems.append(
-                    f"link drift on {link_id!r}: {got_bw} != {expected_bw}")
-        for link_id in self.link_free:
-            if link_id not in fresh.link_free:
-                problems.append(f"ghost link {link_id!r}")
+        if self.resource is not resource:
+            problems.append("bound to a different view")
+        if (self._infras.keys() != fresh._infras.keys()
+                or self._links.keys() != fresh._links.keys()):
+            problems.append("infra or link set drifted")
         if (self._by_type != fresh._by_type
                 or self._wildcard != fresh._wildcard):
             problems.append("candidate type sets drifted")
+        if self._buckets != fresh._buckets:
+            problems.append("capacity buckets drifted")
         if problems:
             self.mark_stale()
             counters.incr("mapping.index.verify_failed")
         return problems
 
     def stats(self) -> dict[str, int]:
-        return {"infras": len(self.free), "links": len(self.link_free),
+        return {"infras": len(self._infras), "links": len(self._links),
                 "types": len(self._by_type), "wildcard": len(self._wildcard),
                 "applies": self.applies, "rebuilds": self.rebuilds}
 
     def __repr__(self) -> str:
         view = self.resource.id if self.resource is not None else None
-        return (f"<SubstrateIndex view={view!r} infras={len(self.free)} "
+        return (f"<SubstrateIndex view={view!r} infras={len(self._infras)} "
                 f"stale={self._stale}>")

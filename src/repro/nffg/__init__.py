@@ -38,9 +38,9 @@ from repro.nffg.graph import NFFG, NFFGError
 from repro.nffg.builder import NFFGBuilder
 from repro.nffg.ops import (
     available_resources,
+    capacity_book,
     merge_nffgs,
     remaining_nffg,
-    split_per_domain,
     strip_deployment,
 )
 from repro.nffg.serialize import nffg_from_dict, nffg_from_json, nffg_to_dict, nffg_to_json
@@ -63,9 +63,9 @@ __all__ = [
     "Port",
     "ResourceVector",
     "available_resources",
+    "capacity_book",
     "merge_nffgs",
     "remaining_nffg",
-    "split_per_domain",
     "strip_deployment",
     "nffg_from_dict",
     "nffg_from_json",

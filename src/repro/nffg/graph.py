@@ -428,8 +428,8 @@ class NFFG:
         *links* (static/dynamic) whose both endpoints are kept.
 
         SG hops and requirement edges are dropped: the result is a
-        deployment-only view — exactly what ``split_per_domain`` hands
-        to a domain adapter.  Same direct-fill fast path as
+        deployment-only view — exactly what the CAL's install slice
+        hands to a domain adapter.  Same direct-fill fast path as
         :meth:`copy`.
         """
         clone = NFFG(id=new_id, name=name or new_id, version=self.version)

@@ -3,12 +3,12 @@
 - :func:`merge_nffgs` stitches per-domain views into one global view
   (inter-domain SAP ports carrying the same ``sap_tag`` are fused with
   an inter-domain static link);
-- :func:`split_per_domain` slices a mapped global NFFG back into one
-  install-NFFG per technology domain;
-- :func:`available_resources` / :func:`remaining_nffg` compute what is
+- :func:`available_resources` / :func:`capacity_book` compute what is
   left of a resource view after the currently placed NFs and reserved
-  SG hops are subtracted — this is what a virtualizer advertises
-  northbound.
+  SG hops are subtracted, exactly (an overdrawn host stays negative);
+- :func:`remaining_nffg` is the northbound advertisement of the same
+  numbers, clamped at zero by :func:`clamp_capacity` — this is what a
+  virtualizer shows its clients.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.nffg.graph import NFFG, NFFGError
-from repro.nffg.model import (
-    DomainType,
-    EdgeLink,
-    LinkType,
-    NodeNF,
-    ResourceVector,
-)
+from repro.nffg.model import NodeNF, ResourceVector
 
 
 def merge_nffgs(views: Iterable[NFFG], merged_id: str = "global-view", *,
@@ -82,49 +76,6 @@ _INTERDOMAIN_DELAY = 1.0
 _INTERDOMAIN_BW = 10_000.0
 
 
-def split_per_domain(mapped: NFFG) -> dict[DomainType, NFFG]:
-    """Slice a mapped global NFFG into per-domain install graphs.
-
-    Each domain receives its own infra nodes, the NFs placed on them,
-    the dynamic links binding those NFs, intra-domain static links and
-    the flow rules already resident on its infra ports.  Inter-domain
-    links (endpoints in different domains) are dropped — the hand-off
-    is represented by sap-tagged ports on both sides.
-
-    A domain's membership set (its infras + hosted NFs + SAPs tagged on
-    its ports) is computed first, then materialized with the subgraph
-    fast path: a link survives exactly when both endpoints are members,
-    SG hops and requirements never enter an install view.  This runs on
-    every ``push_all`` and is kept off the generic per-element copy API
-    on purpose.
-    """
-    # per-domain node membership: infras first, then hosted NFs, then
-    # SAPs (insertion order of the member lists is the install order)
-    members: dict[DomainType, list[str]] = {}
-    infra_domain: dict[str, DomainType] = {}
-    for infra in mapped.infras:
-        infra_domain[infra.id] = infra.domain
-        members.setdefault(infra.domain, []).append(infra.id)
-
-    for host, nf in mapped.placed_nfs():
-        members[infra_domain[host]].append(nf.id)
-
-    sap_ids = {sap.id for sap in mapped.saps}
-    tagged: dict[DomainType, set[str]] = {}
-    for infra in mapped.infras:
-        for port in infra.ports.values():
-            if port.sap_tag in sap_ids:
-                domain_tags = tagged.setdefault(infra.domain, set())
-                if port.sap_tag not in domain_tags:
-                    domain_tags.add(port.sap_tag)
-                    members[infra.domain].append(port.sap_tag)
-
-    return {domain: mapped.copy_subgraph(
-                f"{mapped.id}@{domain.value}", node_ids,
-                name=f"install view for {domain.value}")
-            for domain, node_ids in members.items()}
-
-
 def consumed_resources(view: NFFG, infra_id: str) -> ResourceVector:
     """Sum of resource demands of NFs currently placed on ``infra_id``."""
     total = ResourceVector()
@@ -139,32 +90,68 @@ def available_resources(view: NFFG, infra_id: str) -> ResourceVector:
     return infra.resources - consumed_resources(view, infra_id)
 
 
+def capacity_book(view: NFFG, new_id: Optional[str] = None) -> NFFG:
+    """The exact free-capacity book of ``view``: substrate + SAPs, with
+    infra capacities net of the placed NFs' demand and link bandwidths
+    net of their reservations.
+
+    Deployed NFs, their dynamic links and the carried SG
+    hop/requirement edges are left out, so the book's size does not
+    depend on how much is deployed — and a ledger built over it never
+    subtracts a deployed NF's demand a second time.
+
+    Nothing is clamped: a host or link holding more than its capacity
+    (state adopted by import or recovery onto a smaller substrate)
+    keeps its negative balance, so charging and crediting the book
+    (:func:`repro.mapping.index.charge`) stays exactly invertible and
+    a from-scratch derivation gives the same numbers.
+    """
+    return _net_out(view, view.copy_subgraph(
+        new_id or f"{view.id}-remaining",
+        [node.id for node in view.nodes if not isinstance(node, NodeNF)],
+        name=f"{view.name} (remaining)"))
+
+
 def remaining_nffg(view: NFFG, new_id: Optional[str] = None, *,
                    include_deployed: bool = True) -> NFFG:
     """A copy of ``view`` whose infra capacities are the *free* resources
-    and link bandwidths the *unreserved* bandwidths.
+    and link bandwidths the *unreserved* bandwidths, clamped at zero.
 
     This is the graph a virtualizer exposes northbound: the client plans
-    against what is actually left.
+    against what is actually left, and never sees a negative capacity.
 
-    With ``include_deployed=False`` the deployed NFs, their dynamic
-    links and the carried SG hop/requirement edges are left out: the
-    advertised view is substrate + SAPs + net capacities only.  That is
-    what a real virtualizer shows a client (tenant internals are not
-    advertised), it keeps the view's size independent of how much has
-    been deployed, and it makes downstream accounting correct — a
-    ledger built over a view that nets out the deployed NFs *and* still
-    contains them would subtract their demands a second time.
+    With ``include_deployed=False`` the advertised view is the clamped
+    :func:`capacity_book` — substrate + SAPs + net capacities only,
+    which is what a real virtualizer shows a client (tenant internals
+    are not advertised).
     """
     if include_deployed:
-        result = view.copy(new_id or f"{view.id}-remaining")
+        result = _net_out(view, view.copy(new_id or f"{view.id}-remaining"))
     else:
-        result = view.copy_subgraph(
-            new_id or f"{view.id}-remaining",
-            [node.id for node in view.nodes if not isinstance(node, NodeNF)],
-            name=f"{view.name} (remaining)")
+        result = capacity_book(view, new_id)
+    return clamp_capacity(result)
+
+
+def clamp_capacity(view: NFFG) -> NFFG:
+    """Clamp every infra capacity and link bandwidth of ``view`` at zero,
+    in place, and return it: the advertisement boundary's view of an
+    overdrawn book."""
+    for infra in view.infras:
+        free = infra.resources
+        infra.resources = ResourceVector(
+            cpu=max(free.cpu, 0.0), mem=max(free.mem, 0.0),
+            storage=max(free.storage, 0.0),
+            bandwidth=max(free.bandwidth, 0.0), delay=free.delay)
+    for link in view.links:
+        link.bandwidth = max(link.bandwidth, 0.0)
+    return view
+
+
+def _net_out(view: NFFG, result: NFFG) -> NFFG:
+    """Subtract ``view``'s placed NF demand and link reservations from
+    the capacities of ``result`` (a copy of ``view``), exactly."""
     # one pass over the edge table for all placements instead of a
-    # per-infra nfs_on scan (this runs on every resource_view call)
+    # per-infra nfs_on scan
     consumed: dict[str, ResourceVector] = {}
     for infra_id, nf in view.placed_nfs():
         total = consumed.get(infra_id)
@@ -172,14 +159,14 @@ def remaining_nffg(view: NFFG, new_id: Optional[str] = None, *,
                               else total + nf.resources)
     for infra in result.infras:
         used = consumed.get(infra.id)
-        free = infra.resources if used is None else infra.resources - used
-        infra.resources = ResourceVector(
-            cpu=max(free.cpu, 0.0), mem=max(free.mem, 0.0),
-            storage=max(free.storage, 0.0),
-            bandwidth=max(infra.resources.bandwidth, 0.0),
-            delay=infra.resources.delay)
+        if used is not None:
+            free = infra.resources
+            infra.resources = ResourceVector(
+                cpu=free.cpu - used.cpu, mem=free.mem - used.mem,
+                storage=free.storage - used.storage,
+                bandwidth=free.bandwidth, delay=free.delay)
     for link in result.links:
-        link.bandwidth = max(link.available_bandwidth, 0.0)
+        link.bandwidth = link.available_bandwidth
         link.reserved = 0.0
     return result
 

@@ -17,6 +17,14 @@ registration, :meth:`mark_stale` after link failures) and drives
 path-cache invalidation upstream.  :meth:`rebuild` is the explicit
 escape hatch back to a from-scratch merge.
 
+Free capacity has **one book**, the remaining view behind
+:meth:`resource_view`.  ``_bind``/``_unbind`` charge and credit it per
+service (:func:`repro.mapping.index.charge`) and a from-scratch
+derivation (:func:`repro.nffg.ops.capacity_book`) gives the same
+numbers; neither clamps, so state adopted onto a smaller substrate
+stays exactly overdrawn.  The substrate index and the mapping ledgers
+read the book; only advertisement (a ``resource_view()`` copy) clamps.
+
 The registry is **sharded**: adapters are partitioned into
 :class:`CALShard` buckets (explicit shard map, else a stable hash of
 the adapter name), each shard caches its own merged sub-view with a
@@ -47,7 +55,6 @@ their own domain's single in-flight operation.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -59,20 +66,16 @@ from repro.mapping.base import (
     build_sap_attachments,
     install_hop_flowrules,
 )
-from repro.mapping.index import SubstrateIndex
+from repro.mapping.index import SubstrateIndex, charge
 from repro.nffg.graph import NFFG, NFFGError
-from repro.nffg.model import DomainType, NodeNF, NodeSAP, ResourceVector
+from repro.nffg.model import DomainType, NodeNF, NodeSAP
 from repro.orchestration.adapters import DomainAdapter
-from repro.nffg.ops import merge_nffgs, remaining_nffg
+from repro.nffg.ops import capacity_book, clamp_capacity, merge_nffgs
 from repro.orchestration.dispatch import DEFAULT_MAX_WORKERS, DomainDispatcher
 from repro.orchestration.report import AdapterReport
 from repro.perf import counters, observe, set_gauge
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.sanitize import make_lock
-
-#: debug escape hatch: rebuild-and-compare the substrate index against
-#: the remaining view on every resource_view() call
-_INDEX_VERIFY = bool(os.environ.get("REPRO_INDEX_VERIFY"))
 
 
 @dataclass
@@ -172,16 +175,16 @@ class ControllerAdaptationLayer:
         )
         #: per-service inverse records, valid for the *live* ``_dov`` only
         self._deltas: dict[str, _ServiceDelta] = {}
-        #: cached northbound remaining-capacity view, maintained
-        #: incrementally by commit/remove; generation-tagged so any
-        #: unmaintained DoV mutation forces a re-derivation
+        #: the capacity book: the one record of free capacity (the
+        #: remaining view, exact and unclamped), charged and credited
+        #: by :meth:`_bind`/:meth:`_unbind`; generation-tagged so any
+        #: other DoV mutation forces a re-derivation
         self._remaining: Optional[NFFG] = None
         self._remaining_generation = -1
-        #: persistent mapping-layer index over the remaining view:
-        #: candidate sets, capacity buckets, ledger seed maps and
-        #: topology tables, kept in lock-step with ``_remaining`` (see
-        #: :class:`repro.mapping.index.SubstrateIndex`); handed to the
-        #: RO so embedders skip their per-run O(substrate) rescans
+        #: persistent mapping-layer index bound to the book: candidate
+        #: sets, capacity buckets, ledger seeds and topology tables
+        #: (see :class:`repro.mapping.index.SubstrateIndex`); handed to
+        #: the RO so embedders skip their per-run O(substrate) rescans
         self.substrate_index = SubstrateIndex()
         #: DoV content version: bumped on every apply/remove/rebuild
         self.generation = 0
@@ -445,69 +448,59 @@ class ControllerAdaptationLayer:
         not advertised themselves — the northbound view stays
         substrate-sized no matter how much is deployed.
 
-        The view is cached between calls and maintained incrementally:
-        commits and removals adjust only the touched infras and route
-        links (O(service), not O(substrate)); every other DoV mutation
-        falls back to a full re-derivation via the generation tag.
-        ``copy=False`` hands out the live cached view — the deploy hot
-        loop uses it to stay O(touched); such callers must treat the
-        graph as read-only (embedders do: reservations live in the
-        mapping ledger, never in the input view)."""
+        The view is the capacity book: cached between calls, moved by
+        :meth:`_bind`/:meth:`_unbind` in O(service), re-derived via the
+        generation tag after any other DoV mutation.  ``copy=False``
+        hands out the live, exact book the deploy hot loop maps
+        against; such callers must treat it as read-only (embedders
+        do: reservations live in the mapping ledger).  A copy is an
+        advertisement, clamped at zero."""
         dov = self.dov   # may rebuild and bump the generation: read first
         if self._remaining is None \
                 or self._remaining_generation != self.generation:
-            self._remaining = remaining_nffg(dov, new_id="dov-remaining",
-                                             include_deployed=False)
+            self._remaining = capacity_book(dov, new_id="dov-remaining")
             self._remaining_generation = self.generation
             counters.incr("cal.remaining.rebuild")
         else:
             counters.incr("cal.remaining.reuse")
-        # keep the mapping index bound to the live remaining view;
-        # identity/epoch drift triggers its full rebuild (PathCache
-        # sync idiom), everything else is a no-op
+        # keep the mapping index bound to the live book; identity/epoch
+        # drift triggers its full rebuild (PathCache sync idiom),
+        # everything else is a no-op
         self.substrate_index.sync(self._remaining,
                                   epoch=self.topology_generation)
-        if _INDEX_VERIFY:
-            problems = self.substrate_index.verify(self._remaining)
-            assert not problems, f"substrate index drifted: {problems}"
         if copy:
-            return self._remaining.copy("dov-remaining")
+            return clamp_capacity(self._remaining.copy("dov-remaining"))
         return self._remaining
 
-    def _update_remaining(self, service: NFFG, result: MappingResult,
-                          sign: float) -> None:
-        """Fold a mapping just applied to (``sign=1``) or removed from
-        (``sign=-1``) the DoV into the cached remaining view, touching
-        only the placed infras and routed links.  Call *after* bumping
-        ``generation``; any inconsistency drops the cache instead of
-        serving a wrong capacity."""
-        remaining = self._remaining
-        if remaining is None:
+    def _bind(self, service_id: str, service: NFFG,
+              result: MappingResult) -> None:
+        """Apply a mapping to the live DoV and charge it to the book.
+        Call *after* bumping ``generation``."""
+        self._deltas[service_id] = _apply_inplace(self.dov, service, result)
+        self._charge(service, result, 1.0)
+        counters.incr("dov.apply_inplace")
+
+    def _unbind(self, delta: _ServiceDelta, service: NFFG,
+                result: MappingResult) -> None:
+        """Undo a mapping's DoV apply and credit it back to the book.
+        Call *after* bumping ``generation``."""
+        _remove_inplace(self._dov, delta)
+        self._charge(service, result, -1.0)
+        counters.incr("dov.remove_inplace")
+
+    def _charge(self, service: NFFG, result: MappingResult,
+                sign: float) -> None:
+        if self._remaining is None:
             return
         try:
-            for nf_id, infra_id in result.nf_placement.items():
-                infra = remaining.infra(infra_id)
-                demand = service.nf(nf_id).resources
-                free = infra.resources
-                infra.resources = ResourceVector(
-                    cpu=max(free.cpu - sign * demand.cpu, 0.0),
-                    mem=max(free.mem - sign * demand.mem, 0.0),
-                    storage=max(free.storage - sign * demand.storage, 0.0),
-                    bandwidth=free.bandwidth, delay=free.delay)
-            for route in result.hop_routes.values():
-                for link_id in route.link_ids:
-                    link = remaining.edge(link_id)
-                    link.bandwidth = max(
-                        link.bandwidth - sign * route.bandwidth, 0.0)
+            charge(self._remaining, service, result, sign)
         except (KeyError, NFFGError):
-            # a placement or route no longer resolves in the cached
-            # substrate (topology moved underneath): re-derive lazily
+            # a placement or route no longer resolves (topology moved
+            # underneath): re-derive lazily, never serve a wrong balance
             self._remaining = None
             return
         self._remaining_generation = self.generation
-        # mirror the delta into the mapping index (same clamped
-        # arithmetic); it marks itself stale on any inconsistency
-        self.substrate_index.apply_mapping(service, result, sign)
+        self.substrate_index.rebucket(result.nf_placement.values())
 
     # -- deployment ---------------------------------------------------------------------
 
@@ -522,13 +515,10 @@ class ControllerAdaptationLayer:
     def commit_mapping(self, service_id: str, service: NFFG,
                        result: MappingResult) -> None:
         """Record a successful mapping into the DoV (in place)."""
-        dov = self.dov
-        self._deltas[service_id] = _apply_inplace(dov, service, result)
+        self.generation += 1
+        self._bind(service_id, service, result)
         self._deployed[service_id] = (service, result)
         self._mark_dirty(result)
-        self.generation += 1
-        self._update_remaining(service, result, 1.0)
-        counters.incr("dov.apply_inplace")
         set_gauge("cal.services_deployed", len(self._deployed))
 
     def remove_service(self, service_id: str) -> bool:
@@ -542,13 +532,11 @@ class ControllerAdaptationLayer:
         self.generation += 1
         if had_delta and delta is None:
             # replay was skipped: never entered the live view, so the
-            # cached remaining capacities are untouched
+            # book was never charged for it
             if self._remaining is not None:
                 self._remaining_generation = self.generation
         elif self._dov is not None and delta is not None:
-            _remove_inplace(self._dov, delta)
-            self._update_remaining(removed_service, removed_result, -1.0)
-            counters.incr("dov.remove_inplace")
+            self._unbind(delta, removed_service, removed_result)
         else:
             # no live view (or no delta for it): fall back to a lazy
             # from-scratch rebuild on next access
@@ -572,14 +560,11 @@ class ControllerAdaptationLayer:
         if self._dov is not None:
             service, result = snapshot
             if _replayable(self._dov, result):
-                self._deltas[service_id] = _apply_inplace(
-                    self._dov, service, result)
-                self._update_remaining(service, result, 1.0)
-                counters.incr("dov.apply_inplace")
+                self._bind(service_id, service, result)
             else:
                 # restoring onto a degraded view whose substrate is
-                # gone: book it, defer the replay to the next refresh
-                # (the cached remaining capacities are untouched)
+                # gone: record it, defer the replay to the next refresh
+                # (the capacity book is not charged)
                 self._deltas[service_id] = None
                 if self._remaining is not None:
                     self._remaining_generation = self.generation
@@ -859,10 +844,9 @@ class ControllerAdaptationLayer:
         and the SAPs attached via its own sap-tagged ports; links
         survive exactly when both endpoints are members, so
         inter-domain stitches, SG hops and requirements never enter an
-        install view.  Unlike a whole-view ``split_per_domain`` pass
-        this costs one id-membership sweep plus O(domain) node copies
-        per push — not a full per-type materialization of the global
-        view on every fan-out.
+        install view.  This costs one id-membership sweep plus
+        O(domain) node copies per push — not a full per-type
+        materialization of the global view on every fan-out.
 
         The install graph id is deterministic per adapter so the delta
         machinery diffs against a stable base: ``<dov>@<type>`` for a
@@ -899,14 +883,6 @@ class ControllerAdaptationLayer:
 
     def ready(self) -> bool:
         return all(adapter.ready() for adapter in self.adapters.values())
-
-    def control_totals(self) -> tuple[int, int]:
-        messages = octets = 0
-        for adapter in self.adapters.values():
-            m, b = adapter.control_stats()
-            messages += m
-            octets += b
-        return messages, octets
 
 
 def _endpoint_port(dov: NFFG, service: NFFG,
@@ -1005,8 +981,7 @@ def _remove_inplace(dov: NFFG, delta: _ServiceDelta) -> None:
     for link_ids, bandwidth in delta.reservations:
         for link_id in link_ids:
             if dov.has_edge(link_id):
-                link = dov.edge(link_id)
-                link.reserved = max(0.0, link.reserved - bandwidth)
+                dov.edge(link_id).reserved -= bandwidth
     for edge_id in delta.edge_ids:
         if dov.has_edge(edge_id):
             dov.remove_edge(edge_id)

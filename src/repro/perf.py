@@ -45,10 +45,13 @@ Sharded-CAL counters (scale-aware view maintenance + push planning)::
     cal.push.planned         domain pushes submitted by the push planner
     cal.push.skipped         registered domains the planner did not
                              contact (their config cannot have changed)
-    cal.remaining.rebuild    northbound remaining-capacity views derived
-                             from scratch off the DoV
+    cal.remaining.rebuild    capacity books derived from scratch off
+                             the DoV
     cal.remaining.reuse      resource_view() calls served from the
-                             incrementally maintained cache
+                             incrementally charged book
+    cal.capacity.overdrawn   hosts or links a bind left below zero
+                             (adopted state on a smaller substrate; the
+                             balance stays exact and negative)
 
 Mapping-index counters (the CAL-owned :class:`SubstrateIndex` that
 seeds embedding runs — candidate sets, capacity buckets, copy-on-write
@@ -58,9 +61,10 @@ ledger bases; see :mod:`repro.mapping.index`)::
                              (shared topology tables + O(1) ledger)
     mapping.index.skip       an index was offered but covered a different
                              view object (full per-run rescan fallback)
-    mapping.index.apply      deploy/teardown deltas folded into the index
-                             in place (mirrors cal.remaining maintenance)
-    mapping.index.rebuild    full index rebuilds from a resource view
+    mapping.index.apply      re-bucket passes over the hosts a charge to
+                             the bound book moved (CAL bind/unbind, or
+                             apply_mapping on a caller-owned book)
+    mapping.index.rebuild    full index rebuilds from a capacity book
     mapping.index.stale      inconsistencies that marked the index stale
                              (next sync rebuilds)
     mapping.index.candidates candidate-set queries served by the index

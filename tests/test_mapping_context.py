@@ -166,3 +166,33 @@ class TestMappingContext:
                                   link_ids=[link.id], delay=1.0,
                                   bandwidth=10.0))
         assert ctx.total_cost() > cost_placement_only
+
+
+class TestLazyMapped:
+    def test_mapped_read_after_deploy_equals_eager_commit(self):
+        """The CAL charges a mapping to the very book it was mapped
+        against; a ``mapped`` graph materialized after that must not
+        see the charge (reservations come from the routes, host
+        capacities from mapping time)."""
+        from repro.service import ServiceRequestBuilder
+        from repro.topo import build_reference_multidomain
+        from tests.property.test_incremental_dov import canonical
+
+        escape = build_reference_multidomain().escape
+        service = (ServiceRequestBuilder("fw1").sap("sap1").sap("sap2")
+                   .nf("fw1-fw", "firewall")
+                   .chain("sap1", "fw1-fw", "sap2", bandwidth=10.0)
+                   .build().sg)
+        eager = escape.ro.orchestrate(
+            service, escape.cal.resource_view(copy=False),
+            index=escape.cal.substrate_index)
+        expected = canonical(eager.mapped)  # materialized before deploy
+        report = escape.deploy(service)
+        assert report.success, report.error
+        assert report.mapping.nf_placement == eager.nf_placement
+        assert report.mapping.hop_routes == eager.hop_routes
+        mapped = report.mapping.mapped
+        for route in report.mapping.hop_routes.values():
+            for link_id in route.link_ids:
+                assert mapped.edge(link_id).reserved == 10.0
+        assert canonical(mapped) == expected

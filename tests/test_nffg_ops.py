@@ -1,4 +1,4 @@
-"""Tests for whole-graph NFFG operations (merge/split/remaining/strip)."""
+"""Tests for whole-graph NFFG operations (merge/remaining/strip)."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.nffg import (
     ResourceVector,
     merge_nffgs,
     remaining_nffg,
-    split_per_domain,
     strip_deployment,
 )
 from repro.nffg.builder import linear_substrate
@@ -78,41 +77,6 @@ class TestMerge:
         merged = merge_nffgs([a, b])
         assert len(merged.infras) == 4
         assert len(merged.saps) == 2
-
-
-class TestSplit:
-    def test_split_by_domain(self):
-        a = _domain_view("a", DomainType.INTERNAL, "x")
-        b = _domain_view("b", DomainType.SDN, "x")
-        merged = merge_nffgs([a, b])
-        merged.add_nf("fw", "firewall", num_ports=1)
-        merged.place_nf("fw", "a-bb")
-        parts = split_per_domain(merged)
-        assert set(parts) == {DomainType.INTERNAL, DomainType.SDN}
-        internal = parts[DomainType.INTERNAL]
-        assert internal.has_node("fw")
-        assert internal.host_of("fw") == "a-bb"
-        assert not parts[DomainType.SDN].has_node("fw")
-
-    def test_split_drops_interdomain_links(self):
-        a = _domain_view("a", DomainType.INTERNAL, "x")
-        b = _domain_view("b", DomainType.SDN, "x")
-        merged = merge_nffgs([a, b])
-        parts = split_per_domain(merged)
-        for part in parts.values():
-            assert not part.has_edge("interdomain-x")
-
-    def test_split_keeps_intradomain_links(self):
-        sub = linear_substrate(3, id="s")
-        parts = split_per_domain(sub)
-        part = parts[DomainType.INTERNAL]
-        assert len(part.links) == len(sub.links)
-
-    def test_split_includes_saps_with_tagged_ports(self):
-        sub = linear_substrate(2, id="s")
-        parts = split_per_domain(sub)
-        assert {s.id for s in parts[DomainType.INTERNAL].saps} == \
-            {"sap1", "sap2"}
 
 
 class TestResources:

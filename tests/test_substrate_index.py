@@ -3,9 +3,9 @@ index-backed allocators (PR 10).
 
 The deeper equivalence/acceptance properties live in
 ``tests/property/test_substrate_index.py``; these tests pin the
-individual mechanisms: bucket maintenance, incremental apply vs the
-escape-hatch verify, copy-on-write ledger seeding, candidate pruning,
-and registry plumbing.
+individual mechanisms: bucket maintenance, booking through the bound
+view vs the verify oracle, copy-on-write ledger seeding, candidate
+pruning, and registry plumbing.
 """
 
 import types
@@ -23,7 +23,7 @@ from repro.mapping import (
     register_embedder,
     validate_mapping,
 )
-from repro.mapping.base import Embedder
+from repro.mapping.base import Embedder, ResourceLedger
 from repro.mapping.index import cpu_class
 from repro.nffg import NFFGBuilder
 from repro.nffg.builder import mesh_substrate
@@ -70,9 +70,12 @@ class TestLifecycle:
     def test_rebuild_populates_free_and_type_sets(self):
         substrate = _substrate()
         index = _synced(substrate)
-        assert set(index.free) == {infra.id for infra in substrate.infras}
+        ledger = ResourceLedger(substrate, seed=index.ledger_seed())
         for infra in substrate.infras:
-            assert index.free[infra.id].cpu == infra.resources.cpu
+            assert ledger.free(infra.id) == infra.resources
+        for link in substrate.links:
+            assert ledger.link_free(link.id) == link.available_bandwidth
+        assert index.free_totals == index.capacity_totals
         for functional_type in NF_TYPES:
             assert index.supporters(functional_type) == len(substrate.infras)
         stats = index.stats()
@@ -110,7 +113,9 @@ class TestLifecycle:
         switch = substrate.infras[0]
         switch.infra_type = InfraType.SDN_SWITCH
         index = _synced(substrate)
-        assert switch.id in index.free  # still in the ledger seed
+        # still in the ledger seed
+        ledger = ResourceLedger(substrate, seed=index.ledger_seed())
+        assert ledger.free(switch.id) == switch.resources
         for functional_type in NF_TYPES:
             assert switch.id not in index.candidate_ids(functional_type)
 
@@ -119,27 +124,29 @@ class TestApplyAndVerify:
     def test_apply_roundtrip_restores_free(self):
         substrate = _substrate()
         index = _synced(substrate)
-        before = dict(index.free)
+        before = {infra.id: infra.resources for infra in substrate.infras}
+        bandwidth = {link.id: link.bandwidth for link in substrate.links}
         service = _chain()
         result = GreedyEmbedder().map(service, substrate, index=index)
         assert result.success, result.failure_reason
         index.apply_mapping(service, result, 1.0)
         host = result.nf_placement[f"svc-nf0"]
-        assert index.free[host].cpu < before[host].cpu
+        assert substrate.infra(host).resources.cpu < before[host].cpu
         index.apply_mapping(service, result, -1.0)
         for infra_id, expected in before.items():
-            assert index.free[infra_id].cpu == \
-                pytest.approx(expected.cpu)
+            assert substrate.infra(infra_id).resources.cpu == \
+                pytest.approx(expected.cpu, abs=1e-9)
+        for link in substrate.links:
+            assert link.bandwidth == pytest.approx(bandwidth[link.id],
+                                                   abs=1e-9)
         assert index.verify(substrate) == []
 
     def test_verify_detects_drift_and_marks_stale(self):
         substrate = _substrate()
         index = _synced(substrate)
-        service = _chain()
-        result = GreedyEmbedder().map(service, substrate, index=index)
-        assert result.success
-        # deploy folded into the index but NOT into the view: drift
-        index.apply_mapping(service, result, 1.0)
+        # the view moved behind the index's back: its buckets drift
+        host = substrate.infras[0]
+        host.resources = ResourceVector(cpu=0.0, mem=host.resources.mem)
         problems = index.verify(substrate)
         assert problems
         assert not index.covers(substrate)
@@ -164,7 +171,8 @@ class TestApplyAndVerify:
         host = result.nf_placement["svc-nf0"]
         index.apply_mapping(service, result, 1.0)
         assert index._bucket_of[host] == cpu_class(16.0 - 12.0)
-        assert index.verify(substrate) != []  # view untouched, as above
+        assert substrate.infra(host).resources.cpu == 16.0 - 12.0
+        assert index.verify(substrate) == []  # the view moved with it
 
 
 class TestCandidates:
@@ -209,9 +217,10 @@ class TestCandidates:
         assert ctx.index is index
         nf = service.nf("svc-nf0")
         host = substrate.infras[0]
+        before = host.resources
         ctx.ledger.alloc_nf(nf, host.id)
-        assert ctx.ledger.free(host.id).cpu < index.free[host.id].cpu
-        assert index.free[host.id].cpu == host.resources.cpu
+        assert ctx.ledger.free(host.id).cpu < host.resources.cpu
+        assert host.resources == before
         assert index.verify(substrate) == []
 
 
